@@ -1,12 +1,14 @@
 //! Criterion microbenchmarks for the performance-critical substrate paths:
-//! digesting, cache lookups (exact, linear-NN, LSH), feature extraction,
-//! protocol codec, CMF parse, rasterization and panorama cropping.
+//! digesting, the CRC-32 kernel (frames and CMF), cache lookups (exact,
+//! linear-NN, LSH), feature extraction, protocol codec, CMF parse,
+//! rasterization and panorama cropping.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use coic_cache::{ApproxCache, Digest, ExactCache, IndexKind, PolicyKind};
 use coic_core::{FeatureDescriptor, Msg, RecognitionResult, TaskRequest, TaskResult};
+use coic_netsim::rt::crc32;
 use coic_render::{Camera, Framebuffer, Panorama, Scene};
 use coic_vision::{FeatureVec, ObjectClass, SceneGenerator, SimNet};
 use rand::rngs::StdRng;
@@ -20,6 +22,16 @@ fn bench_digest(c: &mut Criterion) {
         g.bench_function(format!("sha256/{size}B"), |b| {
             b.iter(|| Digest::of(black_box(&data)))
         });
+    }
+    g.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32");
+    for (label, size) in [("4KiB", 4usize << 10), ("1MiB", 1 << 20)] {
+        let data = vec![0xA5u8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(label, |b| b.iter(|| crc32(black_box(&data))));
     }
     g.finish();
 }
@@ -188,6 +200,7 @@ fn bench_panorama(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_digest,
+    bench_crc32,
     bench_exact_cache,
     bench_approx_cache,
     bench_simnet,

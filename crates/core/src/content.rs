@@ -10,6 +10,10 @@ use coic_cache::Digest;
 use coic_render::{encode, procgen, Mat4, Panorama, Scene, Vec3};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+/// One library entry: built once, by the first caller to ask for it.
+type Slot = Arc<OnceLock<(Bytes, Digest)>>;
 
 /// Lazily generated, process-wide library of CMF model bytes.
 ///
@@ -17,7 +21,7 @@ use std::collections::HashMap;
 /// sharing a library (or even two distinct libraries) agrees on content
 /// and digest.
 pub struct ModelLibrary {
-    entries: Mutex<HashMap<(u64, u64), (Bytes, Digest)>>,
+    entries: Mutex<HashMap<(u64, u64), Slot>>,
 }
 
 impl Default for ModelLibrary {
@@ -35,17 +39,24 @@ impl ModelLibrary {
     }
 
     /// CMF bytes and digest for a model, generating on first use.
+    ///
+    /// Generation (tens of milliseconds for a megabyte model) runs in the
+    /// model's own slot, outside the library lock: a lookup of another
+    /// model never waits behind a cold build, and concurrent callers of the
+    /// same cold model wait for one build instead of each running their own.
     pub fn get(&self, model_id: u64, size_bytes: u64) -> (Bytes, Digest) {
-        let mut entries = self.entries.lock();
-        entries
-            .entry((model_id, size_bytes))
-            .or_insert_with(|| {
-                let mesh = procgen::model_of_size(size_bytes, model_id);
-                let bytes = encode(&mesh);
-                let digest = Digest::of(&bytes);
-                (bytes, digest)
-            })
-            .clone()
+        let slot = Slot::clone(
+            self.entries
+                .lock()
+                .entry((model_id, size_bytes))
+                .or_default(),
+        );
+        slot.get_or_init(|| {
+            let bytes = encode(&procgen::model_of_size(size_bytes, model_id));
+            let digest = Digest::of(&bytes);
+            (bytes, digest)
+        })
+        .clone()
     }
 
     /// Just the digest (what the client's manifest would hold).
@@ -53,7 +64,7 @@ impl ModelLibrary {
         self.get(model_id, size_bytes).1
     }
 
-    /// Number of generated models.
+    /// Number of models generated (or being generated).
     pub fn len(&self) -> usize {
         self.entries.lock().len()
     }
@@ -104,7 +115,7 @@ fn frame_scene(frame_id: u64) -> Scene {
 pub struct PanoLibrary {
     height: u32,
     source: PanoSource,
-    entries: Mutex<HashMap<u64, (Bytes, Digest)>>,
+    entries: Mutex<HashMap<u64, Slot>>,
 }
 
 impl PanoLibrary {
@@ -129,25 +140,25 @@ impl PanoLibrary {
     }
 
     /// Panorama bytes and digest for a frame, generating on first use.
+    /// Like [`ModelLibrary::get`], generation runs in the frame's own slot,
+    /// outside the library lock, once per frame.
     pub fn get(&self, frame_id: u64) -> (Bytes, Digest) {
-        let mut entries = self.entries.lock();
-        entries
-            .entry(frame_id)
-            .or_insert_with(|| {
-                let pano = match self.source {
-                    PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
-                    PanoSource::Scene { face_size } => coic_render::render_equirect(
-                        &frame_scene(frame_id),
-                        Vec3::new(0.0, 0.3, 0.0),
-                        self.height,
-                        face_size,
-                    ),
-                };
-                let bytes = Bytes::copy_from_slice(pano.bytes());
-                let digest = Digest::of(&bytes);
-                (bytes, digest)
-            })
-            .clone()
+        let slot = Slot::clone(self.entries.lock().entry(frame_id).or_default());
+        slot.get_or_init(|| {
+            let pano = match self.source {
+                PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
+                PanoSource::Scene { face_size } => coic_render::render_equirect(
+                    &frame_scene(frame_id),
+                    Vec3::new(0.0, 0.3, 0.0),
+                    self.height,
+                    face_size,
+                ),
+            };
+            let bytes = Bytes::copy_from_slice(pano.bytes());
+            let digest = Digest::of(&bytes);
+            (bytes, digest)
+        })
+        .clone()
     }
 
     /// Just the digest.
@@ -197,6 +208,32 @@ mod tests {
         let (b, _) = lib.get(5, 50_000);
         assert_eq!(lib.len(), 1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn concurrent_cold_gets_agree_and_count_once() {
+        let models = ModelLibrary::new();
+        let panos = PanoLibrary::new(64);
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (models.get(11, 200_000), panos.get(4))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (model, pano) in &got[1..] {
+            assert_eq!(model, &got[0].0);
+            assert_eq!(pano, &got[0].1);
+        }
+        assert_eq!(got[0].0 .1, Digest::of(&got[0].0 .0));
+        assert_eq!(got[0].1 .1, Digest::of(&got[0].1 .0));
+        assert_eq!(models.len(), 1);
+        assert_eq!(panos.entries.lock().len(), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod crc32;
 pub mod event;
 pub mod link;
 pub mod rt;

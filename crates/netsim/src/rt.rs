@@ -8,7 +8,12 @@
 //! IO when you are not multiplexing thousands of connections).
 //!
 //! Wire format: `u32` big-endian payload length, `u32` big-endian CRC-32
-//! (IEEE) of the payload, then the payload. Frames larger than
+//! (IEEE) of the payload, then the payload. The checksum is [`crc32`], a
+//! table-driven slicing-by-16 kernel shared with the CMF model format
+//! (`coic_render::format`); it is portable safe Rust with no hardware
+//! path, because the workspace forbids `unsafe_code` and the SSE4.2
+//! `crc32` instruction computes CRC-32C, not the IEEE polynomial the
+//! wire carries. Frames larger than
 //! [`MAX_FRAME`] are rejected on both send and receive so a corrupt or
 //! malicious peer cannot trigger unbounded allocation, and the receive
 //! path allocates incrementally so a lying length prefix cannot reserve
@@ -42,38 +47,7 @@ const RECV_CHUNK: usize = 64 * 1024;
 /// Frame header: length (4) + CRC-32 (4).
 const HDR_LEN: usize = 8;
 
-// --- CRC-32 (IEEE 802.3), table-driven ---------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `data`, as carried in the frame header.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+pub use crate::crc32::crc32;
 
 // --- error taxonomy ----------------------------------------------------
 

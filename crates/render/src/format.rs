@@ -19,10 +19,20 @@
 //! indices  n_idx × u32
 //! crc32    4 B   CRC-32 (IEEE) over everything before this field
 //! ```
+//!
+//! The trailer uses the same CRC-32 kernel as every transport frame
+//! (`coic_netsim::rt::crc32`), so a model is checksummed by one
+//! implementation from cloud build to client verify.
 
 use crate::math::Vec3;
 use crate::mesh::{Mesh, Vertex};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+// The transport's CRC-32 kernel, compiled in from its one source file
+// (render is sans-IO and does not depend on coic-netsim).
+#[path = "../../netsim/src/crc32.rs"]
+mod crc32;
+use crc32::crc32;
 
 /// Magic bytes opening every CMF file.
 pub const MAGIC: [u8; 4] = *b"CMF1";
@@ -86,32 +96,6 @@ impl std::fmt::Display for CmfError {
 }
 
 impl std::error::Error for CmfError {}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Build the table once.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
 
 /// Serialize a mesh to CMF bytes.
 pub fn encode(mesh: &Mesh) -> Bytes {
@@ -222,13 +206,6 @@ pub fn decode(data: &[u8]) -> Result<Mesh, CmfError> {
 mod tests {
     use super::*;
     use crate::procgen;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn round_trip_preserves_mesh() {

@@ -33,7 +33,7 @@ pub mod raster;
 pub mod scene;
 
 pub use cubemap::{cubemap_to_equirect, render_cubemap, render_equirect, sample_cubemap};
-pub use format::{crc32, decode, encode, encoded_size, CmfError};
+pub use format::{decode, encode, encoded_size, CmfError};
 pub use loader::{load_cmf, LoadCostModel, LoadedModel};
 pub use math::{Mat4, Vec3, Vec4};
 pub use mesh::{Aabb, Mesh, MeshError, Vertex};

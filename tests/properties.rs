@@ -7,7 +7,7 @@ use coic::cache::{
 };
 use coic::core::{FeatureDescriptor, Msg, RecognitionResult, RetryPolicy, TaskRequest, TaskResult};
 use coic::netsim::{Link, LinkParams, SimDuration, SimTime, TxOutcome};
-use coic::render::{decode as cmf_decode, encode as cmf_encode, Mesh, Vertex};
+use coic::render::{decode as cmf_decode, encode as cmf_encode, CmfError, Mesh, Vertex};
 use coic::vision::{distance, FeatureVec, Image};
 use coic::workload::Zipf;
 use proptest::prelude::*;
@@ -725,7 +725,7 @@ proptest! {
 
 // ------------------------------------------------------ frame decoder --
 
-use coic::netsim::rt::{encode_frame, FrameDecoder};
+use coic::netsim::rt::{crc32, encode_frame, FrameConn, FrameDecoder, FrameError};
 
 /// Split `wire` into chunks at the given cut offsets (reduced modulo the
 /// wire length, then sorted and deduped).
@@ -788,7 +788,7 @@ proptest! {
     /// surfaces an error / keeps waiting for more bytes.
     #[test]
     fn corrupted_wire_never_yields_a_wrong_frame(
-        payload in prop::collection::vec(any::<u8>(), 1..200),
+        payload in prop::collection::vec(any::<u8>(), 1..4096),
         at in 0usize..8192,
         xor in 1u8..=255,
     ) {
@@ -802,5 +802,123 @@ proptest! {
             Ok(None) => {}  // length grew: decoder waits for bytes that never come
             Err(_) => {}    // CRC mismatch or oversized length — rejected
         }
+    }
+}
+
+/// One payload byte flipped in a 1 MiB (+ a 7-byte tail) frame — at the
+/// start, inside the 16-byte block loop, and in the tail — is rejected as
+/// corrupt by the incremental decoder and by `FrameConn::recv` over a real
+/// loopback socket.
+#[test]
+fn flipped_byte_in_a_1mib_frame_is_rejected() {
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+
+    let payload = pseudo_random_bytes((1 << 20) + 7);
+    let wire = encode_frame(&payload).unwrap();
+    let hdr = wire.len() - payload.len();
+    for at in [hdr, hdr + (1 << 19) + 3, wire.len() - 1] {
+        let mut bad = wire.clone();
+        bad[at] ^= 0x10;
+
+        let mut dec = FrameDecoder::new();
+        dec.push(&bad);
+        assert!(
+            matches!(dec.next_frame(), Err(FrameError::Corrupt { .. })),
+            "decoder accepted a flip at {at}"
+        );
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut rx = FrameConn::new(listener.accept().unwrap().0).unwrap();
+        rx.set_read_deadline(Some(Duration::from_secs(10))).unwrap();
+        let writer = std::thread::spawn(move || tx.write_all(&bad));
+        assert!(
+            matches!(rx.recv(), Err(FrameError::Corrupt { .. })),
+            "FrameConn::recv accepted a flip at {at}"
+        );
+        writer.join().unwrap().unwrap();
+    }
+}
+
+/// One flipped byte anywhere in a ~1 MiB CMF model fails its CRC trailer.
+#[test]
+fn flipped_byte_in_a_1mib_model_is_rejected() {
+    let bytes = cmf_encode(&coic::render::procgen::model_of_size(1 << 20, 3));
+    assert!(bytes.len() > 900_000, "model is only {} bytes", bytes.len());
+    for at in [0, bytes.len() / 2 + 5, bytes.len() - 5] {
+        let mut bad = bytes.to_vec();
+        bad[at] ^= 0x01;
+        assert!(
+            matches!(cmf_decode(&bad), Err(CmfError::CrcMismatch { .. })),
+            "flip at {at} not caught"
+        );
+    }
+}
+
+// ---------------------------------------------------------------- crc32 --
+
+/// Bit-at-a-time CRC-32 (IEEE, reflected) register update: the textbook
+/// definition the table-driven kernel must match.
+fn crc32_bitwise_update(mut c: u32, byte: u8) -> u32 {
+    c ^= byte as u32;
+    for _ in 0..8 {
+        c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+    }
+    c
+}
+
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |c, &b| crc32_bitwise_update(c, b))
+}
+
+/// Deterministic, well-mixed test bytes.
+fn pseudo_random_bytes(n: usize) -> Vec<u8> {
+    (0..n as u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) ^ (i >> 7)).rotate_left(13) as u8)
+        .collect()
+}
+
+#[test]
+fn crc32_check_values() {
+    assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+}
+
+/// Every length 0..=4096 from every start offset 0..16: both alignments
+/// of the 16-byte block loop and every tail length, against the bitwise
+/// reference advanced one byte at a time.
+#[test]
+fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
+    let buf = pseudo_random_bytes(4096 + 16);
+    for start in 0..16 {
+        let mut reg = !0u32;
+        for len in 0..=4096 {
+            let end = start + len;
+            assert_eq!(crc32(&buf[start..end]), !reg, "start {start} len {len}");
+            if let Some(&b) = buf.get(end) {
+                reg = crc32_bitwise_update(reg, b);
+            }
+        }
+    }
+}
+
+#[test]
+fn crc32_matches_bitwise_reference_on_1mib() {
+    let buf = pseudo_random_bytes(1 << 20);
+    assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+}
+
+proptest! {
+    /// Arbitrary content at an arbitrary start offset matches the bitwise
+    /// reference.
+    #[test]
+    fn crc32_matches_bitwise_reference(
+        data in prop::collection::vec(any::<u8>(), 0..2048),
+        start in 0usize..16,
+    ) {
+        let tail = &data[start.min(data.len())..];
+        prop_assert_eq!(crc32(tail), crc32_bitwise(tail));
     }
 }
