@@ -1,7 +1,6 @@
 //! **Ext Q** — cooperative cluster tier: edges × fan-out sweep.
 //!
-//! Ext G's broadcast peer lookup asks *every* peer on every miss; the
-//! cluster tier (DESIGN.md §15) partitions the digest space over a
+//! The cluster tier (DESIGN.md §15) partitions the digest space over a
 //! consistent-hash ring and probes at most K peers in ring order from the
 //! owner, with demand-driven hot replication. This experiment replays a
 //! skewed arena workload (shared global catalogue, one zone per edge)

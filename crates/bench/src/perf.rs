@@ -11,7 +11,7 @@
 //!    lock, the sharded wrapper hands out an `Arc` from a shard read lock
 //!    — that asymmetry *is* the design difference being measured.
 //! 2. **Approx (descriptor) microbenchmarks** — the snapshot ANN index
-//!    ([`coic_cache::snapshot`], `mp-lsh` and `hnsw` families) against the
+//!    ([`coic_cache::snapshot`], `mp-lsh` family) against the
 //!    mutex baseline (one [`ApproxCache`] behind a lock, `linear` and
 //!    classic `lsh` indexes), on identical query streams:
 //!    `approx_lookup/*` is read-only steady state, `approx_mixed/*`
@@ -65,7 +65,7 @@ pub struct CellResult {
     /// Workload label, e.g. `exact_lookup/sharded`.
     pub workload: String,
     /// NN index for approximate cells — `linear`/`lsh` for the mutex
-    /// baseline, `mp-lsh`/`hnsw` for the snapshot index — `-` otherwise.
+    /// baseline, `mp-lsh` for the snapshot index — `-` otherwise.
     pub index: String,
     /// Concurrent worker threads (or clients, for the edge cell).
     pub threads: usize,
@@ -356,14 +356,10 @@ fn query_streams(
 /// pre-snapshot production path).
 const MUTEX_INDEXES: [IndexKind; 2] = [IndexKind::Linear, IndexKind::Lsh { tables: 8, bits: 8 }];
 
-/// ANN families the snapshot cells run.
-const SNAPSHOT_INDEXES: [IndexKind; 2] = [IndexKind::DEFAULT_MPLSH, IndexKind::DEFAULT_HNSW];
-
-/// The snapshot family held to the beats-mutex perf gate: the production
-/// default (what `EdgeConfig` selects when `--index` names a snapshot
-/// family without parameters). The other family's cells are recall-gated
-/// reference data.
-const GATED_SNAPSHOT_INDEX: IndexKind = IndexKind::DEFAULT_MPLSH;
+/// The ANN family the snapshot cells run and the beats-mutex gate
+/// holds: the production default (what `EdgeConfig` selects when
+/// `--index` names the snapshot family without parameters).
+const SNAPSHOT_INDEX: IndexKind = IndexKind::DEFAULT_MPLSH;
 
 /// Dimensions shared by every approx cell.
 struct ApproxParams {
@@ -417,7 +413,7 @@ impl ApproxParams {
 }
 
 /// Approximate-lookup cells (read-only steady state): the mutex baseline
-/// (`linear`, `lsh`) vs the snapshot ANN index (`mp-lsh`, `hnsw`) on
+/// (`linear`, `lsh`) vs the snapshot ANN index (`mp-lsh`) on
 /// byte-identical query streams. Snapshot index telemetry is published to
 /// `tel`, so `coic bench --metrics-out` + `coic obs report` show the
 /// probe/rebuild behaviour behind these numbers.
@@ -447,17 +443,15 @@ fn approx_lookup_cells_with(
             ));
         }
 
-        for kind in SNAPSHOT_INDEXES {
-            let snap = p.snapshot_cache(kind);
-            results.push(run_cell(
-                "approx_lookup/snapshot",
-                kind.label(),
-                threads,
-                p.ops,
-                |t, i| snap.lookup(&queries[t][i as usize], 1).is_hit(),
-            ));
-            snap.index_telemetry().publish(tel.registry());
-        }
+        let snap = p.snapshot_cache(SNAPSHOT_INDEX);
+        results.push(run_cell(
+            "approx_lookup/snapshot",
+            SNAPSHOT_INDEX.label(),
+            threads,
+            p.ops,
+            |t, i| snap.lookup(&queries[t][i as usize], 1).is_hit(),
+        ));
+        snap.index_telemetry().publish(tel.registry());
     }
 }
 
@@ -506,25 +500,23 @@ fn approx_mixed_cells_with(
             },
         ));
 
-        for kind in SNAPSHOT_INDEXES {
-            let snap = p.snapshot_cache(kind);
-            results.push(run_cell(
-                "approx_mixed/snapshot",
-                kind.label(),
-                threads,
-                p.ops,
-                |t, i| {
-                    if i % INSERT_EVERY == 0 {
-                        let c = fresh_base + t * p.ops as usize + i as usize;
-                        snap.insert(descriptor(p.dim, c, 0.0), c as u64, 256, i);
-                        true
-                    } else {
-                        snap.lookup(&queries[t][i as usize], i).is_hit()
-                    }
-                },
-            ));
-            snap.index_telemetry().publish(tel.registry());
-        }
+        let snap = p.snapshot_cache(SNAPSHOT_INDEX);
+        results.push(run_cell(
+            "approx_mixed/snapshot",
+            SNAPSHOT_INDEX.label(),
+            threads,
+            p.ops,
+            |t, i| {
+                if i % INSERT_EVERY == 0 {
+                    let c = fresh_base + t * p.ops as usize + i as usize;
+                    snap.insert(descriptor(p.dim, c, 0.0), c as u64, 256, i);
+                    true
+                } else {
+                    snap.lookup(&queries[t][i as usize], i).is_hit()
+                }
+            },
+        ));
+        snap.index_telemetry().publish(tel.registry());
     }
 }
 
@@ -642,7 +634,7 @@ fn find_cell<'a>(
 }
 
 /// Default-family snapshot-vs-mutex approx-lookup throughput ratio at
-/// the top thread count: the [`GATED_SNAPSHOT_INDEX`] cell over the
+/// the top thread count: the [`SNAPSHOT_INDEX`] cell over the
 /// mutex LSH baseline. 0.0 when either cell is absent.
 fn snapshot_speedup(results: &[CellResult]) -> f64 {
     let top = *THREAD_STEPS.last().expect("non-empty steps");
@@ -655,7 +647,7 @@ fn snapshot_speedup(results: &[CellResult]) -> f64 {
     find_cell(
         results,
         "approx_lookup/snapshot",
-        GATED_SNAPSHOT_INDEX.label(),
+        SNAPSHOT_INDEX.label(),
         top,
     )
     .map(|c| c.throughput_ops_per_sec)
@@ -977,16 +969,15 @@ pub fn check_regression(
     report
 }
 
-/// Absolute hit-ratio tolerance for the snapshot families against the
+/// Absolute hit-ratio tolerance for the snapshot family against the
 /// linear scan (0.5%, per the acceptance criterion). The band absorbs
-/// the families' residual recall noise on satisficed lookups.
+/// the family's residual recall noise on satisficed lookups.
 pub const APPROX_HIT_RATIO_TOLERANCE: f64 = 0.005;
 
 /// The snapshot-index acceptance gate: at *every* thread count, the
-/// default snapshot family ([`GATED_SNAPSHOT_INDEX`]) must beat the
-/// mutex LSH baseline on both p95 latency and throughput, and *every*
-/// snapshot family must match the linear scan's hit ratio within
-/// [`APPROX_HIT_RATIO_TOLERANCE`]. Unlike [`check_regression`] this
+/// snapshot family ([`SNAPSHOT_INDEX`]) must beat the mutex LSH baseline
+/// on both p95 latency and throughput, and match the linear scan's hit
+/// ratio within [`APPROX_HIT_RATIO_TOLERANCE`]. Unlike [`check_regression`] this
 /// compares cells *within one report* — both sides ran on the same host
 /// in the same process, so no tolerance band or host normalisation
 /// applies and the comparison is strict.
@@ -999,59 +990,47 @@ pub fn check_approx_gate(report: &BenchReport) -> RegressionReport {
             ));
             continue;
         };
-        let linear = find_cell(&report.results, "approx_lookup/mutex", "linear", threads);
-        for kind in SNAPSHOT_INDEXES {
-            let label = kind.label();
-            let cell = format!("approx_lookup/snapshot[{label}]@{threads}t");
-            let Some(snap) = find_cell(&report.results, "approx_lookup/snapshot", label, threads)
-            else {
-                out.failures
-                    .push(format!("{cell}: cell missing from report"));
-                continue;
-            };
-            let before = out.failures.len();
-            // Perf rows gate the *production default* snapshot family
-            // only: the alternate family stays in the matrix as data
-            // (HNSW's graph walk cannot beat an O(1) bucket probe at the
-            // small cache sizes the bench grid uses), but whichever
-            // family ships as the default must beat the mutex baseline
-            // at every thread count.
-            if kind == GATED_SNAPSHOT_INDEX {
-                if snap.p95_ns >= mutex.p95_ns {
-                    out.failures.push(format!(
-                        "{cell}: p95 {} ns does not beat mutex baseline {} ns",
-                        snap.p95_ns, mutex.p95_ns
-                    ));
-                }
-                if snap.throughput_ops_per_sec <= mutex.throughput_ops_per_sec {
-                    out.failures.push(format!(
-                        "{cell}: throughput {:.0} ops/s does not beat mutex baseline {:.0}",
-                        snap.throughput_ops_per_sec, mutex.throughput_ops_per_sec
-                    ));
-                }
-            }
-            // Recall rows gate every family: an index whose hit ratio
-            // drifts from the linear scan is returning wrong answers,
-            // whatever its speed.
-            if let Some(linear) = linear {
-                let delta = (snap.hit_ratio - linear.hit_ratio).abs();
-                if delta > APPROX_HIT_RATIO_TOLERANCE {
-                    out.failures.push(format!(
-                        "{cell}: hit ratio {:.4} deviates from linear scan {:.4} by {:.4} (> {:.3})",
-                        snap.hit_ratio, linear.hit_ratio, delta, APPROX_HIT_RATIO_TOLERANCE
-                    ));
-                }
-            }
-            if out.failures.len() == before {
-                out.notes.push(format!(
-                    "{cell}: ok (p95 {} vs mutex {} ns, {:.0} vs {:.0} ops/s, hit ratio {:.4})",
-                    snap.p95_ns,
-                    mutex.p95_ns,
-                    snap.throughput_ops_per_sec,
-                    mutex.throughput_ops_per_sec,
-                    snap.hit_ratio
+        let label = SNAPSHOT_INDEX.label();
+        let cell = format!("approx_lookup/snapshot[{label}]@{threads}t");
+        let Some(snap) = find_cell(&report.results, "approx_lookup/snapshot", label, threads)
+        else {
+            out.failures
+                .push(format!("{cell}: cell missing from report"));
+            continue;
+        };
+        let before = out.failures.len();
+        if snap.p95_ns >= mutex.p95_ns {
+            out.failures.push(format!(
+                "{cell}: p95 {} ns does not beat mutex baseline {} ns",
+                snap.p95_ns, mutex.p95_ns
+            ));
+        }
+        if snap.throughput_ops_per_sec <= mutex.throughput_ops_per_sec {
+            out.failures.push(format!(
+                "{cell}: throughput {:.0} ops/s does not beat mutex baseline {:.0}",
+                snap.throughput_ops_per_sec, mutex.throughput_ops_per_sec
+            ));
+        }
+        // An index whose hit ratio drifts from the linear scan is
+        // returning wrong answers, whatever its speed.
+        if let Some(linear) = find_cell(&report.results, "approx_lookup/mutex", "linear", threads) {
+            let delta = (snap.hit_ratio - linear.hit_ratio).abs();
+            if delta > APPROX_HIT_RATIO_TOLERANCE {
+                out.failures.push(format!(
+                    "{cell}: hit ratio {:.4} deviates from linear scan {:.4} by {:.4} (> {:.3})",
+                    snap.hit_ratio, linear.hit_ratio, delta, APPROX_HIT_RATIO_TOLERANCE
                 ));
             }
+        }
+        if out.failures.len() == before {
+            out.notes.push(format!(
+                "{cell}: ok (p95 {} vs mutex {} ns, {:.0} vs {:.0} ops/s, hit ratio {:.4})",
+                snap.p95_ns,
+                mutex.p95_ns,
+                snap.throughput_ops_per_sec,
+                mutex.throughput_ops_per_sec,
+                snap.hit_ratio
+            ));
         }
     }
     out
@@ -1108,7 +1087,7 @@ mod tests {
         }
     }
 
-    /// A synthetic grid where every snapshot family cleanly beats the
+    /// A synthetic grid where the snapshot family cleanly beats the
     /// mutex baseline at every thread count.
     fn passing_approx_grid() -> Vec<CellResult> {
         let mut cells = Vec::new();
@@ -1137,14 +1116,6 @@ mod tests {
                 1200,
                 0.90,
             ));
-            cells.push(approx_cell(
-                "approx_lookup/snapshot",
-                "hnsw",
-                t,
-                1400.0,
-                1300,
-                0.90,
-            ));
         }
         cells
     }
@@ -1171,8 +1142,8 @@ mod tests {
             "failures: {:?}",
             verdict.failures
         );
-        // One note per snapshot family per thread count.
-        assert_eq!(verdict.notes.len(), 2 * THREAD_STEPS.len());
+        // One note per thread count.
+        assert_eq!(verdict.notes.len(), THREAD_STEPS.len());
     }
 
     #[test]
@@ -1200,14 +1171,16 @@ mod tests {
             verdict.failures
         );
 
-        // The non-default family is recall-gated reference data: its
-        // perf does not gate.
+        // Only p95 and throughput gate perf: a p99 tail behind the
+        // mutex baseline's does not fail.
         let mut cells = passing_approx_grid();
         cells
             .iter_mut()
-            .find(|c| c.workload == "approx_lookup/snapshot" && c.index == "hnsw" && c.threads == 4)
+            .find(|c| {
+                c.workload == "approx_lookup/snapshot" && c.index == "mp-lsh" && c.threads == 4
+            })
             .unwrap()
-            .p95_ns = 3000;
+            .p99_ns = 40_000;
         let verdict = check_approx_gate(&report(cells, 2.0));
         assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
 
@@ -1231,7 +1204,7 @@ mod tests {
         // A missing snapshot cell is a failure, not a silent skip.
         let cells: Vec<_> = passing_approx_grid()
             .into_iter()
-            .filter(|c| !(c.index == "hnsw" && c.threads == 1))
+            .filter(|c| !(c.index == "mp-lsh" && c.threads == 1))
             .collect();
         let verdict = check_approx_gate(&report(cells, 2.0));
         assert_eq!(verdict.failures.len(), 1);
@@ -1367,7 +1340,7 @@ mod tests {
         let tel = Telemetry::new();
         let mut results = Vec::new();
         super::approx_lookup_cells_with(&tiny_params(), 3, &tel, &mut results, &[2]);
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.len(), 3);
         assert!(results.iter().all(|c| c.ops > 0));
         let linear =
             find_cell(&results, "approx_lookup/mutex", "linear", 2).expect("linear baseline cell");
@@ -1375,18 +1348,21 @@ mod tests {
             linear.hit_ratio > 0.5,
             "zipf descriptor stream should mostly hit"
         );
-        for kind in SNAPSHOT_INDEXES {
-            let c = find_cell(&results, "approx_lookup/snapshot", kind.label(), 2)
-                .expect("snapshot cell");
-            assert!(
-                (c.hit_ratio - linear.hit_ratio).abs() <= APPROX_HIT_RATIO_TOLERANCE,
-                "{}[{}] hit ratio {} deviates from linear {}",
-                c.workload,
-                c.index,
-                c.hit_ratio,
-                linear.hit_ratio
-            );
-        }
+        let c = find_cell(
+            &results,
+            "approx_lookup/snapshot",
+            SNAPSHOT_INDEX.label(),
+            2,
+        )
+        .expect("snapshot cell");
+        assert!(
+            (c.hit_ratio - linear.hit_ratio).abs() <= APPROX_HIT_RATIO_TOLERANCE,
+            "{}[{}] hit ratio {} deviates from linear {}",
+            c.workload,
+            c.index,
+            c.hit_ratio,
+            linear.hit_ratio
+        );
         // The snapshot cells published index telemetry while running.
         assert!(tel.registry().counter("index.lookup") > 0);
         assert!(tel.registry().counter("index.rebuild") > 0);
@@ -1397,7 +1373,7 @@ mod tests {
         let tel = Telemetry::new();
         let mut results = Vec::new();
         super::approx_mixed_cells_with(&tiny_params(), 3, &tel, &mut results, &[2]);
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 2);
         for c in &results {
             assert!(c.ops > 0);
             assert!(c.p50_ns <= c.p95_ns && c.p95_ns <= c.p99_ns);

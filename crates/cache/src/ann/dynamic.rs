@@ -190,14 +190,7 @@ mod tests {
                 2,
                 4,
             ),
-            DynamicAnn::new(
-                AnnFamily::Hnsw {
-                    max_links: 4,
-                    ef_search: 8,
-                },
-                2,
-                4,
-            ),
+            DynamicAnn::new(AnnFamily::DEFAULT_MPLSH, 2, 4),
         ]
     }
 

@@ -9,21 +9,16 @@
 //! an `Arc`. Mutation happens by building a *new* index from the full
 //! entry set (the snapshot rebuild), not by editing in place.
 //!
-//! Two selectable families ship behind the trait (plus the linear-scan
-//! ground truth):
+//! One approximate family ships behind the trait, next to the
+//! linear-scan ground truth: [`mplsh::MultiProbeLsh`], random-hyperplane
+//! LSH that probes the query's bucket *and its lowest-margin neighbours*
+//! in every table. Where the old descriptor-space-sharded cache
+//! fragmented each LSH bucket across shards (the measured regression in
+//! `bench/baseline.json` rev a68375a), multi-probe keeps one bucket
+//! array and widens the probe set instead.
 //!
-//! * [`mplsh::MultiProbeLsh`] — random-hyperplane LSH that probes the
-//!   query's bucket *and its lowest-margin neighbours* in every table.
-//!   Where the old descriptor-space-sharded cache fragmented each LSH
-//!   bucket across shards (the measured regression in
-//!   `bench/baseline.json` rev a68375a), multi-probe keeps one bucket
-//!   array and widens the probe set instead.
-//! * [`hnsw::HnswIndex`] — an HNSW-style layered proximity graph with
-//!   deterministic level assignment (hash of the id, not an RNG), for
-//!   workloads where descriptor clusters are too diffuse for LSH.
-//!
-//! Everything is deterministic: hyperplanes and graph levels derive from
-//! fixed seeds via `splitmix64`/FNV hashing, buckets are dense
+//! Everything is deterministic: hyperplanes derive from fixed seeds via
+//! `splitmix64`, buckets are dense
 //! signature-indexed arrays filled in ascending-slot order, and ties
 //! break by id — two builds over the same entries produce
 //! byte-identical search behavior, which the sim path and the recall
@@ -32,18 +27,16 @@
 use coic_vision::features::FeatureVec;
 
 pub mod dynamic;
-pub mod hnsw;
 pub mod mplsh;
 
 pub use dynamic::{DynamicAnn, DEFAULT_REBUILD_BATCH};
-pub use hnsw::HnswIndex;
 pub use mplsh::MultiProbeLsh;
 
 /// Per-lookup probe accounting, accumulated by every [`AnnIndex`]
 /// implementation and folded into the `index.*` telemetry counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Buckets (LSH) or graph nodes (HNSW) expanded.
+    /// Buckets probed.
     pub buckets: u64,
     /// Exact distance evaluations performed.
     pub distance_evals: u64,
@@ -76,14 +69,11 @@ impl ProbeStats {
 /// * implementations may stop the traversal at the first accepted
 ///   candidate found at or under `within` and return it, even if a
 ///   closer one exists (`d ≤ within` already decides "hit");
-/// * on the miss side each family picks the cheapest policy that keeps
-///   its hit ratio pinned to the linear scan (the bench gate enforces
-///   0.5%): multi-probe LSH answers with the best probed candidate and
-///   scans only when *nothing* accepted surfaced — its probe set covers
-///   the bit flips a near-duplicate can cause, so a far best really
-///   means a miss — while the HNSW graph *verifies on far*, scanning
-///   whenever the beam found nothing in-radius, because a stopped beam
-///   proves nothing about unvisited nodes.
+/// * on the miss side the family keeps its hit ratio pinned to the
+///   linear scan (the bench gate enforces 0.5%): multi-probe LSH answers
+///   with the best probed candidate and scans only when *nothing*
+///   accepted surfaced — its probe set covers the bit flips a
+///   near-duplicate can cause, so a far best really means a miss.
 ///
 /// Pass `f32::INFINITY` for the raw best-effort nearest answer: the
 /// early exit is disarmed (every distance is ≤ ∞) and the fallback runs
@@ -129,13 +119,6 @@ pub enum AnnFamily {
         /// bit-flip neighbours).
         probes: usize,
     },
-    /// HNSW-style layered proximity graph.
-    Hnsw {
-        /// Max links per node per layer (level 0 keeps twice this).
-        max_links: usize,
-        /// Beam width of the level-0 search.
-        ef_search: usize,
-    },
 }
 
 impl AnnFamily {
@@ -146,29 +129,11 @@ impl AnnFamily {
         probes: 8,
     };
 
-    /// The default HNSW tuning for edge-sized caches.
-    pub const DEFAULT_HNSW: AnnFamily = AnnFamily::Hnsw {
-        max_links: 8,
-        ef_search: 24,
-    };
-
-    /// Stable label: `linear`, `mp-lsh` or `hnsw` (bench cell / CLI name).
+    /// Stable label: `linear` or `mp-lsh` (bench cell / CLI name).
     pub fn label(&self) -> &'static str {
         match self {
             AnnFamily::Linear => "linear",
             AnnFamily::MultiProbeLsh { .. } => "mp-lsh",
-            AnnFamily::Hnsw { .. } => "hnsw",
-        }
-    }
-
-    /// Parse a CLI/config family name (the inverse of [`AnnFamily::label`],
-    /// with default tunings). `None` for unknown names.
-    pub fn parse(name: &str) -> Option<AnnFamily> {
-        match name {
-            "linear" => Some(AnnFamily::Linear),
-            "mp-lsh" | "mplsh" => Some(AnnFamily::DEFAULT_MPLSH),
-            "hnsw" => Some(AnnFamily::DEFAULT_HNSW),
-            _ => None,
         }
     }
 
@@ -187,10 +152,6 @@ impl AnnFamily {
                 bits,
                 probes,
             } => Box::new(MultiProbeLsh::new(dim, tables, bits, probes, items)),
-            AnnFamily::Hnsw {
-                max_links,
-                ef_search,
-            } => Box::new(HnswIndex::new(dim, max_links, ef_search, items)),
         }
     }
 }
@@ -217,7 +178,7 @@ pub(crate) fn canonical_items(
 }
 
 /// `splitmix64` finalizer: the deterministic bit mixer behind hyperplane
-/// and level generation (no RNG state, no `rand` dependency).
+/// generation (no RNG state, no `rand` dependency).
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
@@ -347,18 +308,6 @@ mod tests {
             .nearest(&v(&[0.0]), f32::INFINITY, &|_| true, &mut stats)
             .expect("non-empty");
         assert_eq!(id, 4);
-    }
-
-    #[test]
-    fn family_labels_roundtrip_through_parse() {
-        for fam in [
-            AnnFamily::Linear,
-            AnnFamily::DEFAULT_MPLSH,
-            AnnFamily::DEFAULT_HNSW,
-        ] {
-            assert_eq!(AnnFamily::parse(fam.label()), Some(fam));
-        }
-        assert_eq!(AnnFamily::parse("sharded"), None);
     }
 
     #[test]

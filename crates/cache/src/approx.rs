@@ -40,14 +40,6 @@ pub enum IndexKind {
         /// Buckets probed per table per lookup.
         probes: usize,
     },
-    /// HNSW-style layered graph ([`crate::ann::HnswIndex`]): batch-built,
-    /// greedy upper-level descent plus a beam search at the base layer.
-    Hnsw {
-        /// Maximum links per node above the base layer.
-        max_links: usize,
-        /// Beam width at the base layer.
-        ef_search: usize,
-    },
 }
 
 impl IndexKind {
@@ -59,30 +51,22 @@ impl IndexKind {
         probes: 8,
     };
 
-    /// Default HNSW configuration (mirrors [`AnnFamily::DEFAULT_HNSW`]).
-    pub const DEFAULT_HNSW: IndexKind = IndexKind::Hnsw {
-        max_links: 8,
-        ef_search: 24,
-    };
-
     /// Stable label for configs, CLI flags, and bench cell names.
     pub fn label(&self) -> &'static str {
         match self {
             IndexKind::Linear => "linear",
             IndexKind::Lsh { .. } => "lsh",
             IndexKind::MultiProbeLsh { .. } => "mp-lsh",
-            IndexKind::Hnsw { .. } => "hnsw",
         }
     }
 
     /// Parse a label back into a kind with default parameters
-    /// (`linear`, `lsh`, `mp-lsh`, `hnsw`).
+    /// (`linear`, `lsh`, `mp-lsh`).
     pub fn parse(name: &str) -> Option<IndexKind> {
         match name {
             "linear" => Some(IndexKind::Linear),
             "lsh" => Some(IndexKind::Lsh { tables: 8, bits: 8 }),
             "mp-lsh" | "mplsh" => Some(IndexKind::DEFAULT_MPLSH),
-            "hnsw" => Some(IndexKind::DEFAULT_HNSW),
             _ => None,
         }
     }
@@ -106,13 +90,6 @@ impl IndexKind {
                 tables,
                 bits,
                 probes,
-            },
-            IndexKind::Hnsw {
-                max_links,
-                ef_search,
-            } => AnnFamily::Hnsw {
-                max_links,
-                ef_search,
             },
         }
     }
@@ -183,7 +160,7 @@ impl<V> ApproxCache<V> {
             IndexKind::Lsh { tables, bits } => {
                 Box::new(LshIndex::new(dim, tables, bits, 0xC01C_15E3))
             }
-            kind @ (IndexKind::MultiProbeLsh { .. } | IndexKind::Hnsw { .. }) => Box::new(
+            kind @ IndexKind::MultiProbeLsh { .. } => Box::new(
                 DynamicAnn::new(kind.ann_family(), dim, crate::ann::DEFAULT_REBUILD_BATCH)
                     .with_radius(threshold),
             ),
@@ -527,7 +504,6 @@ mod tests {
         let mut caches: Vec<ApproxCache<&'static str>> = vec![
             cache(0.3),
             ApproxCache::new(10_000, PolicyKind::Lru, 0.3, IndexKind::DEFAULT_MPLSH, 2),
-            ApproxCache::new(10_000, PolicyKind::Lru, 0.3, IndexKind::DEFAULT_HNSW, 2),
         ];
         let stored = [
             ([1.0f32, 0.0], "east"),
@@ -563,7 +539,6 @@ mod tests {
             IndexKind::Linear,
             IndexKind::Lsh { tables: 8, bits: 8 },
             IndexKind::DEFAULT_MPLSH,
-            IndexKind::DEFAULT_HNSW,
         ] {
             assert_eq!(IndexKind::parse(kind.label()), Some(kind));
         }
@@ -573,7 +548,6 @@ mod tests {
             IndexKind::Linear,
             IndexKind::Lsh { tables: 2, bits: 4 },
             IndexKind::DEFAULT_MPLSH,
-            IndexKind::DEFAULT_HNSW,
         ] {
             let built = kind.ann_family().build(2, vec![(0, v(&[1.0, 0.0]))]);
             assert_eq!(built.len(), 1);

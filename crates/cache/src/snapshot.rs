@@ -11,7 +11,7 @@
 //!   state is a pair of `Arc`s (snapshot + journal) behind a `RwLock`
 //!   that is held only long enough to clone the two `Arc`s — never
 //!   during the ANN search itself. The snapshot owns a batch-built
-//!   [`AnnIndex`] (multi-probe LSH, HNSW, or linear scan) that is never
+//!   [`AnnIndex`] (multi-probe LSH or linear scan) that is never
 //!   mutated after construction, so any number of threads walk it
 //!   concurrently without coordination.
 //! * **Inserts append to a write-side journal.** New entries go into a
@@ -161,7 +161,7 @@ pub struct IndexTelemetry {
     /// Exact distance evaluations across all lookups (the classic ANN
     /// "probe count" — lower is better at equal recall).
     pub probe_count: u64,
-    /// Buckets (LSH) or graph nodes (HNSW) expanded.
+    /// Buckets probed.
     pub buckets_probed: u64,
     /// Conservative full-scan fallbacks (no candidates surfaced).
     pub fallback_scans: u64,
@@ -448,7 +448,7 @@ impl<V> SnapshotApproxCache<V> {
         self.inner.threshold
     }
 
-    /// The configured index family's label (`mp-lsh`, `hnsw`, `linear`).
+    /// The configured index family's label (`mp-lsh`, `linear`).
     pub fn family_label(&self) -> &'static str {
         self.inner.family.label()
     }
@@ -644,11 +644,7 @@ mod tests {
 
     #[test]
     fn all_families_roundtrip() {
-        for family in [
-            AnnFamily::Linear,
-            AnnFamily::DEFAULT_MPLSH,
-            AnnFamily::DEFAULT_HNSW,
-        ] {
+        for family in [AnnFamily::Linear, AnnFamily::DEFAULT_MPLSH] {
             let c: SnapshotApproxCache<u64> = SnapshotApproxCache::new(1 << 20, 0.3, family, 2, 8);
             for i in 0..12u64 {
                 let a = i as f32 * 0.5;

@@ -100,20 +100,19 @@ proptest! {
             .count();
         let exact_ratio = exact_hits as f64 / queries.len() as f64;
 
-        for family in [AnnFamily::DEFAULT_MPLSH, AnnFamily::DEFAULT_HNSW] {
-            let cache = build_cache(family, &entries);
-            let hits = queries
-                .iter()
-                .enumerate()
-                .filter(|(i, q)| cache.lookup(q, 1_000 + *i as u64).is_hit())
-                .count();
-            let ratio = hits as f64 / queries.len() as f64;
-            prop_assert!(
-                (ratio - exact_ratio).abs() <= HIT_RATIO_TOLERANCE,
-                "{family:?}: hit ratio {ratio:.4} vs exact {exact_ratio:.4} \
-                 ({hits} vs {exact_hits} of {} queries)",
-                queries.len()
-            );
-        }
+        let family = AnnFamily::DEFAULT_MPLSH;
+        let cache = build_cache(family, &entries);
+        let hits = queries
+            .iter()
+            .enumerate()
+            .filter(|(i, q)| cache.lookup(q, 1_000 + *i as u64).is_hit())
+            .count();
+        let ratio = hits as f64 / queries.len() as f64;
+        prop_assert!(
+            (ratio - exact_ratio).abs() <= HIT_RATIO_TOLERANCE,
+            "{family:?}: hit ratio {ratio:.4} vs exact {exact_ratio:.4} \
+             ({hits} vs {exact_hits} of {} queries)",
+            queries.len()
+        );
     }
 }

@@ -31,6 +31,8 @@ pub enum ArgError {
     },
     /// The same flag appeared twice.
     Duplicate(String),
+    /// A flag the command does not accept.
+    Unknown(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -44,6 +46,7 @@ impl std::fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{flag} {value:?}: expected {expected}"),
             ArgError::Duplicate(k) => write!(f, "flag --{k} given twice"),
+            ArgError::Unknown(k) => write!(f, "unknown flag --{k} (see coic --help)"),
         }
     }
 }
@@ -92,6 +95,17 @@ impl Args {
             flags,
             switches: seen_switches,
         })
+    }
+
+    /// Fail on the first flag or switch not in `accepted` (sorted, so the
+    /// error names the same flag on every run).
+    pub fn reject_unknown(&self, accepted: &[String]) -> Result<(), ArgError> {
+        let mut given: Vec<&String> = self.flags.keys().chain(&self.switches).collect();
+        given.sort();
+        match given.into_iter().find(|k| !accepted.contains(k)) {
+            Some(k) => Err(ArgError::Unknown(k.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Was a boolean switch present? (Only meaningful for names passed to

@@ -129,7 +129,6 @@ fn sim_config(args: &Args) -> Result<SimConfig, Box<dyn std::error::Error>> {
         .wan_mbps(args.num("wan-mbps", 50.0)?)
         .num_clients(args.num("clients", 4)?)
         .num_edges(args.num("edges", 1)?)
-        .peer_lookup(args.num("peer-lookup", 0u8)? != 0)
         .prefetch_depth(args.num("prefetch", 0)?)
         .seed(args.num("seed", 1)?)
         .build();
@@ -225,14 +224,14 @@ fn report_text(label: &str, r: &mut coic_core::QoeReport) -> String {
 }
 
 /// Parse `--index` when present: the recognition-descriptor index family
-/// the edge runs (`linear`/`lsh` on the mutex path, `mp-lsh`/`hnsw` on
-/// the snapshot ANN path).
+/// the edge runs (`linear`/`lsh` on the mutex path, `mp-lsh` on the
+/// snapshot ANN path).
 fn index_arg(args: &Args) -> Result<Option<coic_cache::IndexKind>, Box<dyn std::error::Error>> {
     match args.get("index") {
         None => Ok(None),
         Some(name) => coic_cache::IndexKind::parse(name)
             .map(Some)
-            .ok_or_else(|| format!("unknown index {name:?} (linear|lsh|mp-lsh|hnsw)").into()),
+            .ok_or_else(|| format!("unknown index {name:?} (linear|lsh|mp-lsh)").into()),
     }
 }
 
@@ -266,7 +265,7 @@ fn write_telemetry(
 }
 
 /// `sim`: run one trace through one system. `--index` picks the edge's
-/// descriptor index family (`linear|lsh|mp-lsh|hnsw`). With `--canonical 1` the
+/// descriptor index family (`linear|lsh|mp-lsh`). With `--canonical 1` the
 /// report is emitted in the canonical byte-stable serialization (sorted
 /// keys, fixed precision), so two runs of the same seeded workload can be
 /// diffed textually — the CI determinism job does exactly that.

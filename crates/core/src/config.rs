@@ -256,8 +256,6 @@ impl SimConfigBuilder {
         lan_mbps: f64,
         /// Inter-edge LAN one-way delay, ms.
         lan_delay_ms: u64,
-        /// Query peer edges on an exact-task miss before the cloud.
-        peer_lookup: bool,
         /// Deterministic edge-kill schedule.
         edge_down_ms: Vec<(u64, u32)>,
         /// Per-message loss probability on the access links.

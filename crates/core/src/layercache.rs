@@ -227,18 +227,18 @@ mod tests {
             )
         };
         let mut linear = mk(IndexKind::Linear);
-        let mut hnsw = mk(IndexKind::DEFAULT_HNSW);
+        let mut mplsh = mk(IndexKind::DEFAULT_MPLSH);
         for (i, class) in (0..6).cycle().take(18).enumerate() {
             let img = gen.canonical(ObjectClass(class));
             let a = linear.process(&img, &clf, i as u64);
-            let b = hnsw.process(&img, &clf, i as u64);
+            let b = mplsh.process(&img, &clf, i as u64);
             assert_eq!(a.hit, b.hit, "step {i}: index families disagree");
             assert_eq!(a.result, b.result);
         }
         // Six classes → six first-miss inserts journaled; maintain folds
         // them and a second call has nothing left.
-        assert_eq!(hnsw.maintain(), 6);
-        assert_eq!(hnsw.maintain(), 0);
+        assert_eq!(mplsh.maintain(), 6);
+        assert_eq!(mplsh.maintain(), 0);
     }
 
     #[test]

@@ -279,7 +279,6 @@ fn replicate_to(
 /// chaos tests rely on to kill an edge mid-workload.
 pub struct EdgeHandle {
     addr: SocketAddr,
-    peers: Arc<Mutex<Vec<SocketAddr>>>,
     cluster: Arc<Mutex<Option<LiveCluster>>>,
     stats: RobustnessStats,
     gate: Arc<UpstreamGate>,
@@ -294,17 +293,10 @@ impl EdgeHandle {
         self.addr
     }
 
-    /// Register a cooperating peer edge: exact-task misses will ask it
-    /// before going to the cloud.
-    pub fn add_peer(&self, addr: SocketAddr) {
-        self.peers.lock().push(addr);
-    }
-
     /// Join a consistent-hash cluster as member `me` of `members` (every
-    /// member's address, this edge included at index `me`). Replaces the
-    /// broadcast [`EdgeHandle::add_peer`] list: misses probe at most
-    /// `cfg.peer_fanout` peers along the ring from the digest's owner,
-    /// dead peers trip out via per-peer breakers, and hot entries
+    /// member's address, this edge included at index `me`): misses probe
+    /// at most `cfg.peer_fanout` peers along the ring from the digest's
+    /// owner, dead peers trip out via per-peer breakers, and hot entries
     /// replicate toward their demand. Idempotent — joining again (e.g.
     /// after a restart) resets the policy state.
     pub fn join_cluster(&self, me: EdgeId, members: &[SocketAddr], cfg: ClusterConfig) {
@@ -327,7 +319,7 @@ impl EdgeHandle {
 
     /// Breaker state of a cluster peer as seen from this edge (`None`
     /// before [`EdgeHandle::join_cluster`]).
-    pub fn peer_state(&self, peer: EdgeId) -> Option<crate::robust::BreakerState> {
+    pub fn peer_state(&self, peer: EdgeId) -> Option<crate::engine::BreakerState> {
         self.cluster
             .lock()
             .as_ref()
@@ -341,7 +333,7 @@ impl EdgeHandle {
     }
 
     /// State of the edge→cloud circuit breaker.
-    pub fn breaker_state(&self) -> crate::robust::BreakerState {
+    pub fn breaker_state(&self) -> crate::engine::BreakerState {
         self.gate.state()
     }
 
@@ -718,8 +710,6 @@ pub fn spawn_edge_with(
     let service = Arc::new(SharedEdgeService::new(cfg, shards));
     let service_in_handle = service.clone();
     let pending = Arc::new(Mutex::new(HashMap::new()));
-    let peers: Arc<Mutex<Vec<SocketAddr>>> = Arc::new(Mutex::new(Vec::new()));
-    let peers_in_handler = peers.clone();
     let cluster: Arc<Mutex<Option<LiveCluster>>> = Arc::new(Mutex::new(None));
     let cluster_h = cluster.clone();
     let stats = RobustnessStats::default();
@@ -758,7 +748,6 @@ pub fn spawn_edge_with(
             .min(a.queue_limit.saturating_add(evcfg.workers).max(1));
     }
     let server = DriverServer::spawn(bind, driver_kind, evcfg, move |frame| {
-        let peers = &peers_in_handler;
         let msg = Msg::decode(&frame).ok()?;
         let now = clock.now_ns();
         let reply = match msg {
@@ -889,106 +878,96 @@ pub fn spawn_edge_with(
                                         (targets, plan.failover, c.state.stats().clone())
                                     })
                                 };
-                                if let Some((targets, failover, cstats)) = planned {
-                                    if failover {
-                                        if let Some(&(peer, _)) = targets.first() {
-                                            net.telemetry.event(
-                                                clock.now_ns(),
-                                                "decision.peer_failover",
-                                                peer_field(peer),
-                                            );
-                                        }
-                                    }
-                                    let started = clock.now_ns();
-                                    for (i, &(peer, addr)) in targets.iter().enumerate() {
-                                        // Counted at send time so the
-                                        // counter matches the probes (and
-                                        // decision.peer_probe events)
-                                        // actually emitted — a plan that
-                                        // resolves early sends fewer
-                                        // probes than it planned.
-                                        cstats.count_probe();
+                                let (targets, failover, cstats) = planned?;
+                                if failover {
+                                    if let Some(&(peer, _)) = targets.first() {
                                         net.telemetry.event(
                                             clock.now_ns(),
-                                            "decision.peer_probe",
+                                            "decision.peer_failover",
                                             peer_field(peer),
                                         );
-                                        let outcome = probe(addr);
-                                        let now = clock.now_ns();
-                                        let mut transition = None;
-                                        {
-                                            let mut g = cluster_h.lock();
-                                            if let Some(c) = g.as_mut() {
-                                                transition = c
-                                                    .state
-                                                    .record_probe(peer, outcome.is_ok(), now)
-                                                    .map(|(from, to)| (c.state.me(), from, to));
-                                                match &outcome {
-                                                    Ok(Some(_)) => c.state.stats().count_peer_hit(),
-                                                    Ok(None) => c.state.stats().count_peer_miss(),
-                                                    Err(()) => c.state.stats().count_peer_timeout(),
-                                                }
-                                                if matches!(outcome, Ok(Some(_))) {
-                                                    // This hit resolves the
-                                                    // plan early: hand the
-                                                    // unprobed peers' breaker
-                                                    // grants back, or a
-                                                    // half-open peer's single
-                                                    // rejoin probe would be
-                                                    // consumed by a probe
-                                                    // that never happens.
-                                                    for &(rest, _) in targets.iter().skip(i + 1) {
-                                                        c.state.cancel_probe(rest);
-                                                    }
+                                    }
+                                }
+                                let started = clock.now_ns();
+                                for (i, &(peer, addr)) in targets.iter().enumerate() {
+                                    // Counted at send time so the
+                                    // counter matches the probes (and
+                                    // decision.peer_probe events)
+                                    // actually emitted — a plan that
+                                    // resolves early sends fewer
+                                    // probes than it planned.
+                                    cstats.count_probe();
+                                    net.telemetry.event(
+                                        clock.now_ns(),
+                                        "decision.peer_probe",
+                                        peer_field(peer),
+                                    );
+                                    let outcome = probe(addr);
+                                    let now = clock.now_ns();
+                                    let mut transition = None;
+                                    {
+                                        let mut g = cluster_h.lock();
+                                        if let Some(c) = g.as_mut() {
+                                            transition = c
+                                                .state
+                                                .record_probe(peer, outcome.is_ok(), now)
+                                                .map(|(from, to)| (c.state.me(), from, to));
+                                            match &outcome {
+                                                Ok(Some(_)) => c.state.stats().count_peer_hit(),
+                                                Ok(None) => c.state.stats().count_peer_miss(),
+                                                Err(()) => c.state.stats().count_peer_timeout(),
+                                            }
+                                            if matches!(outcome, Ok(Some(_))) {
+                                                // This hit resolves the
+                                                // plan early: hand the
+                                                // unprobed peers' breaker
+                                                // grants back, or a
+                                                // half-open peer's single
+                                                // rejoin probe would be
+                                                // consumed by a probe
+                                                // that never happens.
+                                                for &(rest, _) in targets.iter().skip(i + 1) {
+                                                    c.state.cancel_probe(rest);
                                                 }
                                             }
-                                        }
-                                        if let Some((me, from, to)) = transition {
-                                            net.telemetry.event(
-                                                now,
-                                                "cluster.peer_state",
-                                                vec![
-                                                    ("edge", Value::from(me as u64)),
-                                                    ("req", Value::from(req_id)),
-                                                    ("peer", Value::from(peer as u64)),
-                                                    ("from", Value::from(from.as_str())),
-                                                    ("to", Value::from(to.as_str())),
-                                                ],
-                                            );
-                                        }
-                                        match outcome {
-                                            Ok(Some(result)) => {
-                                                net.telemetry.event(
-                                                    now,
-                                                    "decision.peer_hit",
-                                                    peer_field(peer),
-                                                );
-                                                net.telemetry.registry().observe(
-                                                    "cluster.peer_latency_ns",
-                                                    now.saturating_sub(started),
-                                                );
-                                                return Some(result);
-                                            }
-                                            Ok(None) => net.telemetry.event(
-                                                now,
-                                                "decision.peer_miss",
-                                                peer_field(peer),
-                                            ),
-                                            Err(()) => net.telemetry.event(
-                                                now,
-                                                "decision.peer_timeout",
-                                                peer_field(peer),
-                                            ),
                                         }
                                     }
-                                    return None;
-                                }
-                                // Legacy broadcast: every registered peer
-                                // in list order.
-                                let addrs = peers.lock().clone();
-                                for addr in addrs {
-                                    if let Ok(Some(result)) = probe(addr) {
-                                        return Some(result);
+                                    if let Some((me, from, to)) = transition {
+                                        net.telemetry.event(
+                                            now,
+                                            "cluster.peer_state",
+                                            vec![
+                                                ("edge", Value::from(me as u64)),
+                                                ("req", Value::from(req_id)),
+                                                ("peer", Value::from(peer as u64)),
+                                                ("from", Value::from(from.as_str())),
+                                                ("to", Value::from(to.as_str())),
+                                            ],
+                                        );
+                                    }
+                                    match outcome {
+                                        Ok(Some(result)) => {
+                                            net.telemetry.event(
+                                                now,
+                                                "decision.peer_hit",
+                                                peer_field(peer),
+                                            );
+                                            net.telemetry.registry().observe(
+                                                "cluster.peer_latency_ns",
+                                                now.saturating_sub(started),
+                                            );
+                                            return Some(result);
+                                        }
+                                        Ok(None) => net.telemetry.event(
+                                            now,
+                                            "decision.peer_miss",
+                                            peer_field(peer),
+                                        ),
+                                        Err(()) => net.telemetry.event(
+                                            now,
+                                            "decision.peer_timeout",
+                                            peer_field(peer),
+                                        ),
                                     }
                                 }
                                 None
@@ -1266,7 +1245,6 @@ pub fn spawn_edge_with(
     })?;
     Ok(EdgeHandle {
         addr: server.local_addr(),
-        peers,
         cluster,
         stats,
         gate,
@@ -1852,10 +1830,24 @@ mod tests {
         let compute = ComputeConfig::default();
         let classes = vec![ObjectClass(0)];
         let cloud = spawn_cloud(&classes, 64, compute, models.clone(), panos.clone(), 3).unwrap();
-        let edge_a = spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap();
-        let edge_b = spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap();
-        edge_a.add_peer(edge_b.addr());
-        edge_b.add_peer(edge_a.addr());
+        let edges = [
+            spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap(),
+            spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap(),
+        ];
+        let members = [edges[0].addr(), edges[1].addr()];
+        // Fan-out 1 probes the other edge; hot threshold 1 keeps the first
+        // peer hit as a local replica.
+        let cfg = ClusterConfig {
+            peer_fanout: 1,
+            replicate_hot: 1,
+            ..ClusterConfig::default()
+        };
+        for (me, edge) in edges.iter().enumerate() {
+            edge.join_cluster(me as EdgeId, &members, cfg.clone());
+        }
+        // Edge B owns the model's digest, so it keeps what it fetches.
+        let owner = crate::cluster::HashRing::new(2, cfg.vnodes).owner(&models.digest(3, 80_000));
+        let (edge_a, edge_b) = (&edges[1 - owner as usize], &edges[owner as usize]);
 
         let req = Request {
             user: UserId(0),
@@ -2018,7 +2010,7 @@ mod tests {
             "open breaker should refuse fast, took {:?}",
             t.elapsed()
         );
-        assert_eq!(edge.breaker_state(), crate::robust::BreakerState::Open);
+        assert_eq!(edge.breaker_state(), crate::engine::BreakerState::Open);
         let snap = edge.robustness().snapshot();
         assert!(snap.breaker_trips >= 1);
         assert_eq!(snap.unavailable_replies, 3);

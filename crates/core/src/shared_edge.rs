@@ -183,7 +183,7 @@ impl SharedEdgeService {
         self.recog.maintain(now_ns)
     }
 
-    /// The recognition index family's label (`mp-lsh`, `hnsw`, `linear`).
+    /// The recognition index family's label (`mp-lsh`, `linear`).
     pub fn index_family(&self) -> &'static str {
         self.recog.family_label()
     }

@@ -70,20 +70,17 @@ pub struct SimConfig {
     /// Number of client devices.
     pub num_clients: u32,
     /// Number of edge servers. Clients attach to `zone % num_edges`; with
-    /// more than one edge, enable `peer_lookup` to let edges answer each
-    /// other's misses over the LAN before going to the cloud.
+    /// more than one edge, set [`SimConfig::cluster`] to let edges answer
+    /// each other's misses over the LAN before going to the cloud.
     pub num_edges: u32,
     /// Inter-edge LAN bandwidth, Mbit/s.
     pub lan_mbps: f64,
     /// Inter-edge LAN one-way delay, ms.
     pub lan_delay_ms: u64,
-    /// Query peer edges on an exact-task miss before forwarding to cloud.
-    pub peer_lookup: bool,
     /// Cooperative cluster tier: consistent-hash partitioning with bounded
     /// peer fan-out, hot-entry replication and peer-before-cloud failover.
-    /// Supersedes the broadcast `peer_lookup` when set (the legacy
-    /// broadcast asks *every* peer; the cluster probes at most
-    /// `peer_fanout` along the ring).
+    /// An exact-task miss probes at most `peer_fanout` peers along the
+    /// ring before forwarding to the cloud.
     pub cluster: Option<ClusterConfig>,
     /// Deterministic edge-kill schedule: at each `(at_ms, edge_idx)` the
     /// named edge goes silent for the rest of the run — it drops every
@@ -179,7 +176,6 @@ impl Default for SimConfig {
             num_edges: 1,
             lan_mbps: 1000.0,
             lan_delay_ms: 5,
-            peer_lookup: false,
             cluster: None,
             edge_down_ms: Vec::new(),
             access_loss: 0.0,
@@ -601,10 +597,6 @@ struct EdgeNode {
     /// Service-completion timers for admitted queries: token → the time
     /// the query was first offered (its sojourn feeds the AIMD limiter).
     in_service: HashMap<u64, u64>,
-    /// Cooperating peer edges (empty in single-edge runs).
-    peers: Vec<NodeId>,
-    /// Outstanding peer queries: req_id → wait state.
-    pending_peer: HashMap<u64, PeerWait>,
     /// Cooperative cluster policy (ring + breakers + hot trackers), when
     /// the run was configured with [`SimConfig::cluster`].
     cluster: Option<ClusterState>,
@@ -636,14 +628,6 @@ struct EdgeNode {
 /// Synthetic request-id namespace for edge-initiated prefetches (client
 /// req_ids keep bit 63 clear because node indexes fit in 32 bits).
 const PREFETCH_REQ: u64 = 1 << 63;
-
-struct PeerWait {
-    client: NodeId,
-    descriptor: FeatureDescriptor,
-    task: TaskRequest,
-    outstanding: usize,
-    satisfied: bool,
-}
 
 /// One cluster probe round: the bounded fan-out a miss sent along the
 /// ring, waiting for replies (or per-probe deadlines) before the cloud.
@@ -1180,7 +1164,7 @@ impl EdgeNode {
                 if let Some(digest) = crate::services::descriptor_digest(&descriptor) {
                     // Waiters queue behind the leader's fetch; note
                     // the leader itself is answered via
-                    // pending_cloud/pending_peer, not the table.
+                    // pending_cloud/pending_cluster, not the table.
                     if let FlightClaim::Queued = self.flights.claim(digest, (from, req_id)) {
                         self.tel.event(
                             now,
@@ -1252,26 +1236,6 @@ impl EdgeNode {
                         }
                         // Empty plan (all peers dead or single edge):
                         // fall through to the gated cloud forward.
-                    } else if self.cfg.peer_lookup && !self.peers.is_empty() {
-                        self.pending_peer.insert(
-                            req_id,
-                            PeerWait {
-                                client: from,
-                                descriptor,
-                                task,
-                                outstanding: self.peers.len(),
-                                satisfied: false,
-                            },
-                        );
-                        for peer in self.peers.clone() {
-                            self.delay_send(
-                                ctx,
-                                service_ns,
-                                peer,
-                                Msg::PeerQuery { req_id, digest },
-                            );
-                        }
-                        return;
                     }
                 }
                 // The client-blocking upstream fetch goes through
@@ -1527,60 +1491,10 @@ impl Node<Msg> for EdgeNode {
                 );
             }
             Msg::PeerReply { req_id, result } => {
+                // A reply with no open round is late: its round was
+                // already satisfied or timed out and cleaned up.
                 if self.pending_cluster.contains_key(&req_id) {
                     self.cluster_peer_reply(ctx, from, req_id, result);
-                    return;
-                }
-                let Some(wait) = self.pending_peer.get_mut(&req_id) else {
-                    return; // late reply after satisfaction and cleanup
-                };
-                wait.outstanding -= 1;
-                match result {
-                    Some(result) if !wait.satisfied => {
-                        wait.satisfied = true;
-                        let client = wait.client;
-                        let descriptor = wait.descriptor.clone();
-                        let done = wait.outstanding == 0;
-                        self.service.borrow_mut().insert(&descriptor, &result, now);
-                        if let Some(digest) = crate::services::descriptor_digest(&descriptor) {
-                            for (waiter, waiter_req) in self.flights.complete(&digest) {
-                                let msg = Msg::PeerResult {
-                                    req_id: waiter_req,
-                                    result: result.clone(),
-                                };
-                                let bytes = wire_len(&msg, &self.cfg);
-                                ctx.send(waiter, bytes, msg);
-                            }
-                        }
-                        let msg = Msg::PeerResult { req_id, result };
-                        let bytes = wire_len(&msg, &self.cfg);
-                        ctx.send(client, bytes, msg);
-                        if done {
-                            self.pending_peer.remove(&req_id);
-                        }
-                    }
-                    _ => {
-                        if wait.outstanding == 0 {
-                            let wait = self.pending_peer.remove(&req_id).expect("wait exists");
-                            if wait.satisfied {
-                                return;
-                            }
-                            // Every peer missed: fall back to the cloud
-                            // (client-blocking, so breaker-gated).
-                            if !self.gate.preflight(now) {
-                                self.refuse(ctx, &wait.descriptor, wait.client, req_id);
-                                return;
-                            }
-                            self.pending_cloud
-                                .insert(req_id, (wait.client, wait.descriptor));
-                            let msg = Msg::Forward {
-                                req_id,
-                                task: wait.task,
-                            };
-                            let bytes = wire_len(&msg, &self.cfg);
-                            ctx.send(self.cloud, bytes, msg);
-                        }
-                    }
                 }
             }
             other => panic!("edge received unexpected {other:?}"),
@@ -1828,7 +1742,6 @@ pub fn run_instrumented(
     let mut edge_services: Vec<Rc<RefCell<EdgeService>>> = Vec::new();
     let mut cluster_stats: Vec<ClusterStats> = Vec::new();
     for (ei, &eid) in edge_ids.iter().enumerate() {
-        let peers: Vec<NodeId> = edge_ids.iter().copied().filter(|&p| p != eid).collect();
         let cluster = cfg
             .cluster
             .as_ref()
@@ -1867,8 +1780,6 @@ pub fn run_instrumented(
                     .map(|a| OverloadControl::new(a, cfg.brownout.clone())),
                 queued_work: HashMap::new(),
                 in_service: HashMap::new(),
-                peers,
-                pending_peer: HashMap::new(),
                 cluster,
                 edge_nodes: edge_ids.clone(),
                 pending_cluster: HashMap::new(),
@@ -2105,6 +2016,14 @@ mod tests {
         assert!(acc > 0.7, "accuracy {acc}");
     }
 
+    /// A two-edge ring at fan-out 1: every miss probes the other edge.
+    fn fanout_one() -> Option<ClusterConfig> {
+        Some(ClusterConfig {
+            peer_fanout: 1,
+            ..ClusterConfig::default()
+        })
+    }
+
     #[test]
     fn multi_edge_peer_lookup_serves_cross_zone_content() {
         // Users in two zones attach to two edges; zone 0 warms its edge,
@@ -2124,7 +2043,7 @@ mod tests {
         let cfg = SimConfig {
             num_clients: 4,
             num_edges: 2,
-            peer_lookup: true,
+            cluster: fanout_one(),
             ..SimConfig::default()
         };
         let report = run(&reqs, &cfg);
@@ -2132,7 +2051,7 @@ mod tests {
         assert!(report.peer_hits >= 1, "expected peer hits, got {report:?}");
         assert!(report.lan_bytes > 0);
         // Only one cloud fetch of the model should ever happen per edge at
-        // most; with peer lookup, ideally once globally.
+        // most; with the ring probe, ideally once globally.
         assert!(
             report.cloud_trips <= 2,
             "cloud trips {}",
@@ -2154,14 +2073,14 @@ mod tests {
                 },
             });
         }
-        let mk = |peer_lookup| SimConfig {
+        let mk = |cluster| SimConfig {
             num_clients: 4,
             num_edges: 2,
-            peer_lookup,
+            cluster,
             ..SimConfig::default()
         };
-        let without = run(&reqs, &mk(false));
-        let with = run(&reqs, &mk(true));
+        let without = run(&reqs, &mk(None));
+        let with = run(&reqs, &mk(fanout_one()));
         assert_eq!(without.peer_hits, 0);
         assert!(with.wan_bytes < without.wan_bytes);
         assert!(with.mean_latency_ms() <= without.mean_latency_ms());
@@ -2169,44 +2088,34 @@ mod tests {
 
     #[test]
     fn peer_hit_latency_sits_between_local_and_cloud() {
-        // One warmed peer: the home edge's first request is a peer hit,
-        // its second a local hit; a fresh model is a cloud miss.
+        // The digest's owner warms the model; the other edge's first
+        // request is a peer hit, which it keeps (hot threshold 1), so its
+        // second is a local hit.
+        let vnodes = ClusterConfig::default().vnodes;
+        let digest = ModelLibrary::new().digest(3, 500_000);
+        let owner = crate::cluster::HashRing::new(2, vnodes).owner(&digest);
+        let load = |zone: u32, at_ns: u64| Request {
+            user: UserId(zone),
+            zone: ZoneId(zone),
+            at_ns,
+            kind: RequestKind::RenderLoad {
+                model_id: 3,
+                size_bytes: 500_000,
+            },
+        };
         let reqs = vec![
-            // zone 1 warms edge 1
-            Request {
-                user: UserId(1),
-                zone: ZoneId(1),
-                at_ns: 0,
-                kind: RequestKind::RenderLoad {
-                    model_id: 3,
-                    size_bytes: 500_000,
-                },
-            },
-            // zone 0 asks for the same model → peer hit
-            Request {
-                user: UserId(0),
-                zone: ZoneId(0),
-                at_ns: 1_000_000_000,
-                kind: RequestKind::RenderLoad {
-                    model_id: 3,
-                    size_bytes: 500_000,
-                },
-            },
-            // zone 0 again → local hit
-            Request {
-                user: UserId(0),
-                zone: ZoneId(0),
-                at_ns: 2_000_000_000,
-                kind: RequestKind::RenderLoad {
-                    model_id: 3,
-                    size_bytes: 500_000,
-                },
-            },
+            load(owner, 0),
+            load(1 - owner, 1_000_000_000),
+            load(1 - owner, 2_000_000_000),
         ];
         let cfg = SimConfig {
             num_clients: 2,
             num_edges: 2,
-            peer_lookup: true,
+            cluster: Some(ClusterConfig {
+                peer_fanout: 1,
+                replicate_hot: 1,
+                ..ClusterConfig::default()
+            }),
             ..SimConfig::default()
         };
         let report = run(&reqs, &cfg);
@@ -2214,6 +2123,9 @@ mod tests {
         assert_eq!(report.cloud_trips, 1);
         assert_eq!(report.peer_hits, 1);
         assert_eq!(report.edge_hits, 1);
+        let mean = |path: Path| report.latency_by_path[path.label()].mean();
+        assert!(mean(Path::EdgeHit) < mean(Path::PeerHit));
+        assert!(mean(Path::PeerHit) < mean(Path::CloudMiss));
     }
 
     #[test]

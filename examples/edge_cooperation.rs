@@ -1,14 +1,17 @@
 //! Cooperative edges — the "C" in CoIC, fully simulated.
 //!
 //! Two arenas, two edge servers, one popular set of avatar models. Without
-//! cooperation each edge must fetch every model from the cloud itself;
-//! with the `PeerQuery` protocol an edge answers its neighbour's misses
-//! over the LAN. This example also shows panorama prefetching on a third,
-//! lone viewer: cooperation with one's own future.
+//! cooperation each edge must fetch every model from the cloud itself; as
+//! a two-edge cluster (consistent-hash ring, fan-out 1) an edge probes its
+//! neighbour over the LAN before going to the cloud. The example asserts
+//! that the cluster moves fewer WAN bytes than the isolated edges. It also
+//! shows panorama prefetching on a third, lone viewer: cooperation with
+//! one's own future.
 //!
 //! Run with: `cargo run --release --example edge_cooperation`
 
 use coic::core::simrun::{run, SimConfig};
+use coic::core::ClusterConfig;
 use coic::workload::{ArenaMultiplayer, Population, Request, RequestKind, UserId, VrVideo, ZoneId};
 
 fn main() {
@@ -24,25 +27,36 @@ fn main() {
     .generate(19);
 
     println!("two arenas, two edges, 8 shared avatar models (2 MB each)\n");
-    for peer_lookup in [false, true] {
+    let cluster = ClusterConfig {
+        peer_fanout: 1,
+        ..ClusterConfig::default()
+    };
+    let mut wan = Vec::new();
+    for (label, cluster) in [("isolated", None), ("cluster ", Some(cluster))] {
         let cfg = SimConfig {
             num_clients: 8,
             num_edges: 2,
-            peer_lookup,
+            cluster,
             ..SimConfig::default()
         };
         let report = run(&trace, &cfg);
         println!(
-            "peer lookup {}: local hits {:>2}, peer hits {:>2}, cloud trips {:>2} \
+            "{label}: local hits {:>2}, peer hits {:>2}, cloud trips {:>2} \
              → mean {:>6.1} ms, WAN {:>5.1} MB",
-            if peer_lookup { "ON " } else { "OFF" },
             report.edge_hits,
             report.peer_hits,
             report.cloud_trips,
             report.mean_latency_ms(),
             report.wan_bytes as f64 / 1e6,
         );
+        wan.push(report.wan_bytes);
     }
+    assert!(
+        wan[1] < wan[0],
+        "the cluster must move fewer WAN bytes than isolated edges ({} vs {})",
+        wan[1],
+        wan[0]
+    );
 
     // --- Part 2: a lone viewer cooperates with their own future -----------
     println!("\nlone VR viewer, 30 frames, edge prefetching:\n");

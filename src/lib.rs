@@ -16,7 +16,7 @@
 //! * [`render`] — 3D substrate (meshes, CMF format, loader, software
 //!   rasterizer, panoramas),
 //! * [`cache`] — the edge cache (digests, eviction policies, exact and
-//!   approximate indexes, cooperation),
+//!   approximate indexes),
 //! * [`obs`] — the unified observability layer (metrics registry,
 //!   structured trace, canonical exporters),
 //! * [`workload`] — Zipf/arrival/mobility workload generators.

@@ -427,13 +427,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     /// The simulation driver completes every request (or counts an explicit
     /// failure) and reproduces exactly, across the whole configuration
-    /// space: modes, tiers, edges, peer lookup, prefetch, shaping, loss.
+    /// space: modes, tiers, edges, the cluster tier, prefetch, shaping,
+    /// loss.
     #[test]
     fn simrun_total_and_deterministic(
         mode_coic in any::<bool>(),
         edge_tier in any::<bool>(),
         edges in 1u32..3,
-        peer_lookup in any::<bool>(),
+        cluster in prop::option::of((1u32..3).prop_map(|peer_fanout| coic::core::ClusterConfig {
+            peer_fanout,
+            ..coic::core::ClusterConfig::default()
+        })),
         prefetch in 0u32..3,
         loss_pct in 0u32..6,
         shape in any::<bool>(),
@@ -467,7 +471,7 @@ proptest! {
             exec_tier: if edge_tier { ExecTier::Edge } else { ExecTier::Cloud },
             num_clients: 4,
             num_edges: edges,
-            peer_lookup,
+            cluster,
             prefetch_depth: prefetch,
             access_loss: loss_pct as f64 / 100.0,
             request_timeout_ms: 2_000,
